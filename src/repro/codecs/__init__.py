@@ -14,7 +14,7 @@ interface to match:
 * :mod:`repro.codecs.adapters` — the built-in adapters for all four
   families;
 * :mod:`repro.codecs.serialize` — portable block documents used by the CLI
-  and the storage engine's persistence.
+  and the durable store's segment files.
 
 The storage engine (:mod:`repro.storage`), the streaming layer
 (:mod:`repro.streaming`), the CLI (:mod:`repro.cli`), and the benchmark

@@ -247,10 +247,6 @@ class _ModelCodec(Codec):
         """Construct the underlying :class:`LossyCompressor`."""
         raise NotImplementedError
 
-    def _compressor(self) -> LossyCompressor:
-        """Backwards-compatible spelling used by the old storage adapters."""
-        return self.compressor()
-
 
 class PmcCodec(_ModelCodec):
     """Poor Man's Compression (constant segments) as a unified codec."""

@@ -210,8 +210,5 @@ class Codec(ABC):
             raise CodecMismatchError(
                 f"block was encoded with {block.codec!r}, not {self.name!r}")
 
-    #: Backwards-compatible spelling used by the storage layer's subclasses.
-    _check_chunk = _check_block
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.__class__.__name__}(name={self.name!r})"

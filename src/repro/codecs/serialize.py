@@ -14,7 +14,7 @@ disk:
 
 The functional-approximation codecs (PMC, SWING, Sim-Piece, FFT) keep Python
 closures as payloads, which are not portable.  :func:`payload_to_document`
-refuses them — the storage engine's persistence keeps that strict behaviour —
+refuses them — the durable store's segment files keep that strict behaviour —
 while :func:`block_to_document` can *materialize* such a block instead: the
 document stores the model's reconstruction (``dense``) next to the original
 bits accounting, so a CLI ``compress`` → ``decompress`` round trip reproduces
@@ -97,8 +97,8 @@ def payload_to_document(payload) -> dict:
                 "bit_length": int(bit_length), "count": int(count)}
     raise StorageError(
         f"payload of type {type(payload).__name__} cannot be persisted; "
-        "compact the series with a persistable codec (cameo, a line "
-        "simplifier, gorilla, chimp or raw) first")
+        "store the series with a persistable codec (cameo, a line "
+        "simplifier, gorilla, chimp or raw) instead")
 
 
 def payload_from_document(document: dict):

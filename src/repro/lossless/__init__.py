@@ -1,14 +1,9 @@
-"""Lossless floating-point codecs (Gorilla, Chimp) and bit-level IO."""
+"""Lossless floating-point codecs (Gorilla, Chimp)."""
 
-from .bitstream import BitReader, BitWriter, bits_to_float, float_to_bits
 from .chimp import ChimpCodec
 from .gorilla import GorillaCodec
 
 __all__ = [
-    "BitReader",
-    "BitWriter",
-    "bits_to_float",
-    "float_to_bits",
     "GorillaCodec",
     "ChimpCodec",
 ]

@@ -13,25 +13,8 @@ and opening a store is a recovery scan that replays the WAL and
 quarantines corruption instead of returning it (``docs/storage.md``).
 """
 
-from .codecs import (
-    CameoSegmentCodec,
-    ChimpSegmentCodec,
-    EncodedChunk,
-    FftSegmentCodec,
-    GorillaSegmentCodec,
-    PmcSegmentCodec,
-    RawCodec,
-    SegmentCodec,
-    SimPieceSegmentCodec,
-    SimplifierSegmentCodec,
-    SwingSegmentCodec,
-    available_codecs,
-    make_codec,
-    register_codec,
-)
 from .checksum import crc32c, crc32c_hex
 from .durable import DurableStore
-from .persistence import load_store, save_store
 from .query import AggregateResult, QueryEngine, SUPPORTED_AGGREGATES
 from .recovery import QuarantinedSegment, RecoveryReport, fsck, recover
 from .segment import Segment, SegmentSummary
@@ -39,20 +22,6 @@ from .store import DEFAULT_SEGMENT_SIZE, SeriesInfo, TimeSeriesStore
 from .wal import WalRecord, WriteAheadLog, scan_wal
 
 __all__ = [
-    "EncodedChunk",
-    "SegmentCodec",
-    "RawCodec",
-    "GorillaSegmentCodec",
-    "ChimpSegmentCodec",
-    "CameoSegmentCodec",
-    "SimplifierSegmentCodec",
-    "PmcSegmentCodec",
-    "SwingSegmentCodec",
-    "SimPieceSegmentCodec",
-    "FftSegmentCodec",
-    "make_codec",
-    "register_codec",
-    "available_codecs",
     "Segment",
     "SegmentSummary",
     "TimeSeriesStore",
@@ -61,8 +30,6 @@ __all__ = [
     "QueryEngine",
     "AggregateResult",
     "SUPPORTED_AGGREGATES",
-    "save_store",
-    "load_store",
     "DurableStore",
     "RecoveryReport",
     "QuarantinedSegment",

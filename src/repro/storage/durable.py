@@ -40,9 +40,10 @@ so the kill-at-every-syncpoint harness in ``tests/storage/`` can prove the
 contract by crashing at each site and diffing the reopened store against
 the acknowledged state.
 
-Version-1 manifests (the monolithic :func:`repro.storage.persistence.
-save_store` format) open transparently: the store is loaded through the
-v1 reader and migrated to the v2 layout on the spot.
+Version-1 manifests (the legacy monolithic format: one footer-less
+``manifest.json`` holding every segment document and buffer tail inline)
+open transparently: the v1 reader here loads and validates them and the
+store is migrated to the v2 layout on the spot.  v1 is no longer written.
 """
 
 from __future__ import annotations
@@ -59,18 +60,13 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 import numpy as np
 
 from .._validation import as_float_array
+from ..codecs import CompressedBlock, codec_specs, get_codec
+from ..codecs.serialize import payload_from_document, payload_to_document
 from ..exceptions import StorageError
 from ..faultinject import fire_storage
 from .checksum import crc32c, crc32c_hex
-from .codecs import make_codec
-from .persistence import (
-    MANIFEST_NAME,
-    _codec_spec,
-    _segment_from_document,
-    _segment_to_document,
-    _store_from_manifest,
-)
 from .recovery import QuarantinedSegment, RecoveryReport
+from .segment import Segment, SegmentSummary
 from .store import DEFAULT_SEGMENT_SIZE, TimeSeriesStore
 from .wal import (
     FSYNC_POLICIES,
@@ -86,6 +82,13 @@ __all__ = [
     "PREV_MANIFEST_NAME",
     "QUARANTINE_DIR",
 ]
+
+#: The store manifest's file name and ``format`` marker (both versions).
+MANIFEST_NAME = "manifest.json"
+MANIFEST_FORMAT = "repro.timeseries-store"
+
+#: Legacy monolithic manifest version, read and migrated on open.
+V1_FORMAT_VERSION = 1
 
 #: Manifest version written by :class:`DurableStore`.
 DURABLE_FORMAT_VERSION = 2
@@ -158,6 +161,86 @@ def _read_checksummed_json(path: Path) -> tuple[dict | None, str, str, str]:
     if not isinstance(document, dict):
         return None, "", "parse-error", "document is not a JSON object"
     return document, crc32c_hex(payload), "", ""
+
+
+# --------------------------------------------------------------------- #
+# manifest documents
+# --------------------------------------------------------------------- #
+def _codec_spec(codec) -> dict:
+    """Build a ``get_codec``-compatible specification for ``codec``."""
+    options: dict = {}
+    for attribute in ("max_lag", "epsilon", "error_bound", "keep_fraction", "variant"):
+        if hasattr(codec, attribute):
+            options[attribute] = getattr(codec, attribute)
+    extra = getattr(codec, "options", None)
+    if isinstance(extra, dict):
+        options.update(extra)
+    return {"name": codec.name, "options": options}
+
+
+def _segment_to_document(segment: Segment) -> dict:
+    chunk = segment.chunk
+    return {
+        "start": segment.start,
+        "codec": chunk.codec,
+        "length": chunk.length,
+        "bits": chunk.bits,
+        "lossless": chunk.lossless,
+        "metadata": chunk.metadata,
+        "payload": payload_to_document(chunk.payload),
+        "summary": {
+            "count": segment.summary.count,
+            "minimum": segment.summary.minimum,
+            "maximum": segment.summary.maximum,
+            "total": segment.summary.total,
+        },
+    }
+
+
+def _segment_from_document(document: dict, codec) -> Segment:
+    chunk = CompressedBlock(
+        codec=str(document["codec"]),
+        payload=payload_from_document(document["payload"]),
+        length=int(document["length"]),
+        bits=int(document["bits"]),
+        lossless=bool(document["lossless"]),
+        metadata=dict(document.get("metadata", {})))
+    summary_doc = document["summary"]
+    summary = SegmentSummary(count=int(summary_doc["count"]),
+                             minimum=float(summary_doc["minimum"]),
+                             maximum=float(summary_doc["maximum"]),
+                             total=float(summary_doc["total"]))
+    return Segment(int(document["start"]), chunk, codec, summary=summary)
+
+
+def _load_v1_series(name: str, entry: dict, state) -> None:
+    """Read a v1 series entry's inline segments and buffer tail.
+
+    The catalog is validated before it is trusted: segment starts must be
+    contiguous from 0, every segment's length must agree with its summary
+    count, and the buffer must be shorter than the segment size.
+    """
+    position = 0
+    for index, segment_doc in enumerate(entry.get("segments", [])):
+        segment = _segment_from_document(segment_doc, state.codec)
+        if segment.start != position:
+            raise StorageError(
+                f"series {name!r}: segment {index} starts at {segment.start}, "
+                f"expected {position} (segments must be contiguous from 0)")
+        if segment.summary.count != segment.length:
+            raise StorageError(
+                f"series {name!r}: segment {index} length {segment.length} "
+                f"disagrees with its summary count {segment.summary.count}")
+        state.segments.append(segment)
+        position += segment.length
+
+    buffer = [float(value) for value in entry.get("buffer", [])]
+    if len(buffer) >= state.segment_size:
+        raise StorageError(
+            f"series {name!r}: buffered tail holds {len(buffer)} values but "
+            f"the segment size is {state.segment_size}; a buffer that long "
+            "should have been sealed")
+    state.buffer = buffer
 
 
 def _series_slug(name: str) -> str:
@@ -283,12 +366,24 @@ class DurableStore:
                       segment_size: int | None = None,
                       codec_options: dict | None = None,
                       metadata: dict | None = None) -> None:
-        """Register a new series (durably — the manifest is swapped)."""
+        """Register a new series (durably — the manifest is swapped).
+
+        Model-family codecs (pmc, swing, simpiece, fft) are refused: their
+        blocks are fitted closures with no serializable form, so the first
+        seal could never be persisted.
+        """
         self._check_open()
         self._memory.create_series(name, codec, segment_size=segment_size,
                                    codec_options=codec_options,
                                    metadata=metadata)
         name = str(name).strip()
+        codec_name = self._memory._state(name).codec.name  # noqa: SLF001
+        if codec_name in {spec.name for spec in codec_specs("model")}:
+            self._memory.drop_series(name)
+            raise StorageError(
+                f"codec {codec_name!r} cannot back a durable series: its "
+                "blocks are fitted models with no serializable form; use "
+                "cameo, a line simplifier, gorilla, chimp or raw")
         shard = self._shard_of(name)
         self._series_shard[name] = shard
         self._refs[name] = []
@@ -577,7 +672,7 @@ class DurableStore:
                 "next_segment_file": self._next_file_index[name],
             }
         return {
-            "format": "repro.timeseries-store",
+            "format": MANIFEST_FORMAT,
             "version": DURABLE_FORMAT_VERSION,
             "default_segment_size": self._memory.default_segment_size,
             "shards": self._shards,
@@ -690,13 +785,15 @@ class DurableStore:
         report.removed_tmp_files = self._remove_tmp_files()
         document, used_prev = self._load_manifest()
         report.used_prev_manifest = used_prev
-        version = int(document.get("version", 0))
-        if version == 1:
+        version = document.get("version")
+        if version == V1_FORMAT_VERSION:
             self._migrate_v1(document)
             return
         if version != DURABLE_FORMAT_VERSION:
+            newer = isinstance(version, int) and version > DURABLE_FORMAT_VERSION
             raise StorageError(
-                f"manifest version {version} is newer than supported "
+                f"manifest version {version!r} is "
+                f"{'newer than' if newer else 'not'} supported "
                 f"({DURABLE_FORMAT_VERSION})")
 
         self._shards = int(document.get("shards", self._shards))
@@ -705,12 +802,7 @@ class DurableStore:
         for shard, info in (document.get("wal") or {}).items():
             self._generations[str(shard)] = int(info.get("generation", 0))
             self._next_sequence[str(shard)] = int(info.get("next_sequence", 0))
-
-        series_items = document.get("series")
-        if not isinstance(series_items, dict):
-            raise StorageError("manifest has no series catalog")
-        for name, entry in series_items.items():
-            self._load_series(str(name), entry, report)
+        self._load_catalog(document.get("series"), self._load_series)
 
         touched = self._replay_wals(report)
         dirty = (bool(report.quarantined) or used_prev
@@ -765,8 +857,8 @@ class DurableStore:
             except (UnicodeDecodeError, json.JSONDecodeError):
                 return None, f"{reason}: {detail}"
             if (isinstance(document, dict)
-                    and document.get("format") == "repro.timeseries-store"
-                    and int(document.get("version", 0)) == 1):
+                    and document.get("format") == MANIFEST_FORMAT
+                    and document.get("version") == V1_FORMAT_VERSION):
                 return document, ""
             return None, f"{reason}: {detail}"
         try:
@@ -774,14 +866,43 @@ class DurableStore:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             return None, f"parse-error: {exc}"
         if not isinstance(document, dict) or document.get(
-                "format") != "repro.timeseries-store":
+                "format") != MANIFEST_FORMAT:
             return None, "not a repro.timeseries-store manifest"
         return document, ""
 
+    def _load_catalog(self, series_items, load_series) -> None:
+        """Register every manifest series entry (either version).
+
+        v1 and v2 entries share the codec spec, ``segment_size`` and
+        ``metadata`` fields; ``load_series(name, entry, state)`` reads the
+        version-specific rest.  A malformed entry raises
+        :class:`StorageError` naming the series.
+        """
+        path = self.directory / MANIFEST_NAME
+        if not isinstance(series_items, dict):
+            raise StorageError(f"{path}: manifest series catalog is not an object")
+        for name, entry in series_items.items():
+            name = str(name)
+            if not isinstance(entry, dict):
+                raise StorageError(
+                    f"series {name!r}: manifest entry is not an object")
+            try:
+                spec = entry["codec"]
+                self._memory.create_series(
+                    name, codec=get_codec(spec["name"], **spec.get("options", {})),
+                    segment_size=int(entry["segment_size"]),
+                    metadata=dict(entry.get("metadata", {})))
+                load_series(name, entry, self._memory._state(name))  # noqa: SLF001
+            except (KeyError, TypeError, ValueError) as exc:
+                raise StorageError(
+                    f"{path}: series {name!r} has a malformed manifest entry: "
+                    f"{exc!r}") from exc
+
     def _migrate_v1(self, document: dict) -> None:
         """Load a version-1 manifest and rewrite it as the v2 layout."""
-        self._memory = _store_from_manifest(
-            document, self.directory / MANIFEST_NAME)
+        self._memory = TimeSeriesStore(default_segment_size=int(
+            document.get("default_segment_size", DEFAULT_SEGMENT_SIZE)))
+        self._load_catalog(document.get("series", {}), _load_v1_series)
         for name in self._memory.list_series():
             shard = self._shard_of(name)
             self._series_shard[name] = shard
@@ -800,16 +921,8 @@ class DurableStore:
         # to v2.  Touch every shard so empty ones are recorded too.
         self._checkpoint(set(self._generations))
 
-    def _load_series(self, name: str, entry, report: RecoveryReport) -> None:
-        if not isinstance(entry, dict):
-            raise StorageError(f"manifest entry for series {name!r} "
-                               "is not an object")
-        spec = entry.get("codec") or {}
-        codec = make_codec(spec["name"], **spec.get("options", {}))
-        self._memory.create_series(
-            name, codec=codec, segment_size=int(entry["segment_size"]),
-            metadata=dict(entry.get("metadata", {})))
-        state = self._memory._state(name)  # noqa: SLF001
+    def _load_series(self, name: str, entry: dict, state) -> None:
+        report = self.recovery
         state.holes = [dict(hole) for hole in entry.get("holes", [])]
         report.prior_holes += len(state.holes)
         shard = str(entry.get("shard") or self._shard_of(name))
@@ -819,7 +932,7 @@ class DurableStore:
 
         kept_refs: list[dict] = []
         for ref in entry.get("segments", []):
-            segment, failure = self._verify_segment(name, ref, codec)
+            segment, failure = self._verify_segment(name, ref, state.codec)
             if segment is not None:
                 state.segments.append(segment)
                 kept_refs.append(ref)

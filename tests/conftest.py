@@ -20,6 +20,14 @@ def pytest_configure(config):  # noqa: D103 - pytest hook
         f"(opt-in: run with -m {STRESS_MARKER})")
 
 
+def pytest_report_header(config):  # noqa: D103 - pytest hook
+    # Native-tier suites skip silently without the built extension; say
+    # which tier this run exercises.
+    from repro._kernels import describe_tiers
+
+    return f"repro kernel tier: {describe_tiers()}"
+
+
 def pytest_collection_modifyitems(config, items):
     """Skip stress-marked soaks unless they were asked for.
 

@@ -1,4 +1,4 @@
-"""Tests for the Gorilla / Chimp codecs and the bitstream layer."""
+"""Tests for the Gorilla / Chimp codecs."""
 
 from __future__ import annotations
 
@@ -8,59 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import CodecError
-from repro.lossless import (
-    BitReader,
-    BitWriter,
-    ChimpCodec,
-    GorillaCodec,
-    bits_to_float,
-    float_to_bits,
-)
-
-
-class TestBitstream:
-    def test_single_bits_roundtrip(self):
-        writer = BitWriter()
-        pattern = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1]
-        for bit in pattern:
-            writer.write_bit(bit)
-        reader = BitReader(writer.to_bytes(), writer.bit_length)
-        assert [reader.read_bit() for _ in range(len(pattern))] == pattern
-
-    def test_multi_bit_roundtrip(self):
-        writer = BitWriter()
-        writer.write_bits(0b1011, 4)
-        writer.write_bits(0xDEADBEEF, 32)
-        writer.write_bits(0x1FFFFFFFFFFFFF, 53)
-        reader = BitReader(writer.to_bytes(), writer.bit_length)
-        assert reader.read_bits(4) == 0b1011
-        assert reader.read_bits(32) == 0xDEADBEEF
-        assert reader.read_bits(53) == 0x1FFFFFFFFFFFFF
-
-    def test_bit_length_accounting(self):
-        writer = BitWriter()
-        writer.write_bits(0, 13)
-        assert writer.bit_length == 13
-        writer.write_bit(1)
-        assert writer.bit_length == 14
-
-    def test_read_past_end_raises(self):
-        writer = BitWriter()
-        writer.write_bits(3, 2)
-        reader = BitReader(writer.to_bytes(), writer.bit_length)
-        reader.read_bits(2)
-        with pytest.raises(CodecError):
-            reader.read_bit()
-
-    def test_invalid_width(self):
-        with pytest.raises(CodecError):
-            BitWriter().write_bits(1, 65)
-        with pytest.raises(CodecError):
-            BitReader(b"\x00").read_bits(65)
-
-    def test_float_bit_reinterpretation(self):
-        for value in (0.0, 1.0, -1.5, 3.141592653589793, 1e300, -1e-300):
-            assert bits_to_float(float_to_bits(value)) == value
+from repro.lossless import ChimpCodec, GorillaCodec
 
 
 class TestCodecsRoundtrip:

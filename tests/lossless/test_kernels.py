@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro._kernels import BlockBitReader, BlockBitWriter, clz64, ctz64, pack_bits
@@ -24,7 +24,7 @@ from repro._kernels.reference import (
     reference_gorilla_encode,
 )
 from repro.exceptions import CodecError, InvalidSeriesError
-from repro.lossless import ChimpCodec, GorillaCodec, bits_to_float, float_to_bits
+from repro.lossless import ChimpCodec, GorillaCodec
 
 _FIELDS = st.lists(
     st.tuples(st.integers(min_value=0, max_value=(1 << 64) - 1),
@@ -59,6 +59,7 @@ class TestBlockBitstreamProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(_FIELDS)
+    @example([(0b1011, 4), (0xDEADBEEF, 32), (0x1FFFFFFFFFFFFF, 53)])
     def test_roundtrip_and_cross_reads(self, fields):
         writer = BlockBitWriter()
         for value, width in fields:
@@ -107,6 +108,18 @@ class TestBlockBitstreamEdges:
         assert reader.read_bits(0) == 0
         assert reader.read_bits(3) == 0b101
 
+    def test_single_bit_api_roundtrip_and_accounting(self):
+        pattern = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1]
+        writer = BlockBitWriter()
+        writer.write_bits(0, 13)
+        assert writer.bit_length == 13
+        for bit in pattern:
+            writer.write_bit(bit)
+        assert writer.bit_length == 13 + len(pattern)
+        reader = BlockBitReader(writer.to_bytes(), writer.bit_length)
+        assert reader.read_bits(13) == 0
+        assert [reader.read_bit() for _ in pattern] == pattern
+
     def test_invalid_widths_raise(self):
         with pytest.raises(CodecError):
             BlockBitWriter().write_bits(1, 65)
@@ -131,14 +144,15 @@ class TestBlockBitstreamEdges:
     def test_special_float_bit_patterns(self):
         specials = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0,
                     5e-324, -5e-324, 1e308, -1e308]
+        patterns = np.asarray(specials, dtype=np.float64).view(np.uint64)
         writer = BlockBitWriter()
-        for value in specials:
-            writer.write_bits(float_to_bits(value), 64)
+        for bits in patterns:
+            writer.write_bits(int(bits), 64)
         reader = BlockBitReader(writer.to_bytes(), writer.bit_length)
-        decoded = [bits_to_float(reader.read_bits(64)) for _ in specials]
-        for original, roundtripped in zip(specials, decoded):
-            bits_original = float_to_bits(original)
-            assert float_to_bits(roundtripped) == bits_original
+        decoded_bits = np.asarray([reader.read_bits(64) for _ in specials],
+                                  dtype=np.uint64)
+        assert np.array_equal(decoded_bits, patterns)
+        decoded = decoded_bits.view(np.float64)
         # -0.0 must keep its sign bit, NaN its exact payload.
         assert np.signbit(decoded[3])
         assert np.isnan(decoded[0])

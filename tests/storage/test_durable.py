@@ -1,20 +1,14 @@
-"""DurableStore: round trips, recovery, quarantine, migration, spool."""
+"""DurableStore: round trips, recovery, quarantine, refusals, spool."""
 
 import json
 
 import numpy as np
 import pytest
 
+from repro.codecs import PmcCodec
 from repro.exceptions import SeriesNotFoundError, StorageError
 from repro.faultinject import inject_bit_flip, inject_torn_write
-from repro.storage import (
-    DurableStore,
-    TimeSeriesStore,
-    fsck,
-    load_store,
-    recover,
-    save_store,
-)
+from repro.storage import DurableStore, fsck, recover
 from repro.storage.durable import attach_footer, split_footer
 
 
@@ -365,48 +359,86 @@ class TestLocking:
             assert np.array_equal(again.read("z"), values)
 
 
-class TestV1Migration:
-    def _v1_store(self, directory):
-        store = TimeSeriesStore(default_segment_size=16)
-        store.create_series("g", codec="gorilla")
-        store.create_series("r", codec="raw", segment_size=8)
-        store.append("g", _values(40, seed=1))
-        store.append("r", _values(20, seed=2))
-        save_store(store, directory)
-        return store
-
-    def test_v1_opens_and_migrates(self, root):
-        original = self._v1_store(root)
-        with DurableStore.open(root) as migrated:
-            assert migrated.recovery.migrated_from_v1
-            for name in ("g", "r"):
-                assert np.array_equal(migrated.read(name),
-                                      original.read(name))
-        # The rewrite is the v2 layout now: segment files exist, next
-        # open is an ordinary clean recovery.
-        assert list(root.glob("segments/*/*/seg-*.json"))
+class TestModelCodecsRefused:
+    @pytest.mark.parametrize(
+        "codec", ["pmc", "swing", "simpiece", "fft", PmcCodec(error_bound=0.5)],
+        ids=["pmc", "swing", "simpiece", "fft", "pmc-instance"])
+    def test_create_series_refuses_model_codecs(self, root, codec):
+        with DurableStore.create(root, default_segment_size=16) as store:
+            store.create_series("ok", codec="raw")
+            manifest = (root / "manifest.json").read_bytes()
+            with pytest.raises(StorageError,
+                               match="cannot back a durable series"):
+                store.create_series("s", codec=codec)
+            assert "s" not in store
+            assert (root / "manifest.json").read_bytes() == manifest
+            store.append("ok", _values(20))  # the handle stays usable
         with DurableStore.open(root) as again:
             assert again.recovery.clean
-            assert not again.recovery.migrated_from_v1
+            assert again.list_series() == ["ok"]
+            assert again.length("ok") == 20
 
-    def test_empty_v1_store_migrates(self, root):
-        save_store(TimeSeriesStore(), root)
-        with DurableStore.open(root) as migrated:
-            assert migrated.recovery.migrated_from_v1
-            assert migrated.list_series() == []
-        with DurableStore.open(root) as again:
-            assert again.recovery.clean
-            again.create_series("late", codec="raw")
-            again.append("late", _values(5))
 
-    def test_load_store_reads_v2_directories(self, root):
-        values = _values(30)
+def _set(path, value):
+    """Mutation setting the manifest field at ``path`` to ``value``."""
+    def mutate(document):
+        target = document
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return mutate
+
+
+def _drop_codec_name(document):
+    del document["series"]["a"]["codec"]["name"]
+
+
+MALFORMED_V2 = {
+    "missing-codec-name": (
+        _drop_codec_name,
+        r"series 'a' has a malformed manifest entry: KeyError\('name'\)"),
+    "non-int-segment-size": (
+        _set(["series", "a", "segment_size"], "big"),
+        "series 'a' has a malformed manifest entry: ValueError"),
+    "list-metadata": (
+        _set(["series", "a", "metadata"], [1, 2]),
+        "series 'a' has a malformed manifest entry: TypeError"),
+    "entry-not-object": (
+        _set(["series", "a"], [1, 2]),
+        "series 'a': manifest entry is not an object"),
+    "catalog-not-object": (
+        _set(["series"], ["a"]),
+        "manifest series catalog is not an object"),
+    "non-int-version": (
+        _set(["version"], "two"),
+        r"manifest version 'two' is not supported \(2\)"),
+    "version-zero": (
+        _set(["version"], 0),
+        r"manifest version 0 is not supported \(2\)"),
+    "newer-version": (
+        _set(["version"], 3),
+        r"manifest version 3 is newer than supported \(2\)"),
+}
+
+
+class TestMalformedManifest:
+    """A checksum-valid but malformed v2 manifest raises StorageError."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_V2))
+    def test_rejected_with_storage_error(self, root, case):
+        mutate, message = MALFORMED_V2[case]
         with DurableStore.create(root, default_segment_size=8) as store:
-            store.create_series("a", codec="raw")
-            store.append("a", values)
-        memory = load_store(root)
-        assert isinstance(memory, TimeSeriesStore)
-        assert np.array_equal(memory.read("a"), values)
+            store.create_series("a", codec="raw", metadata={"unit": "C"})
+            store.append("a", _values(12))
+        manifest = root / "manifest.json"
+        payload, _reason, _detail = split_footer(manifest.read_bytes())
+        document = json.loads(payload)
+        mutate(document)
+        manifest.write_bytes(attach_footer(json.dumps(document).encode()))
+        with pytest.raises(StorageError, match=message):
+            DurableStore.open(root)
+        with pytest.raises(StorageError, match=message):
+            fsck(root)
 
 
 class TestFsck:

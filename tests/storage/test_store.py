@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codecs import RawCodec
 from repro.exceptions import InvalidParameterError, SeriesNotFoundError, StorageError
 from repro.storage import (
-    RawCodec,
     Segment,
     SegmentSummary,
     SeriesInfo,

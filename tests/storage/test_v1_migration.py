@@ -32,9 +32,10 @@ def _seasonal(n: int, phase: float) -> np.ndarray:
     return np.round(8 * (30 + 6 * np.sin(2 * np.pi * t / 24 + phase))) / 8
 
 
+#: Inputs of the lossless series (the cameo series drew 120 values at
+#: phase 2.0; its reconstruction is recorded in the expected file).
 INPUTS = {"raw-series": _seasonal(72, 0.0),
-          "gorilla-series": _seasonal(90, 1.0),
-          "cameo-series": _seasonal(120, 2.0)}
+          "gorilla-series": _seasonal(90, 1.0)}
 
 
 @pytest.fixture()

@@ -466,6 +466,43 @@ class TestStoreCommands:
     def test_fsck_missing_store_errors(self, tmp_path):
         assert main(["store", "fsck", str(tmp_path / "absent")]) == 2
 
+    def test_save_with_model_codec_is_refused(self, plain_csv, tmp_path,
+                                              capsys):
+        """A model codec is refused up front; the store stays usable."""
+        path, values = plain_csv
+        directory = tmp_path / "db"
+        assert main(["store", "save", str(directory), "--input", str(path),
+                     "--series", "s", "--codec", "pmc",
+                     "--segment-size", "16"]) == 2
+        assert "cannot back a durable series" in capsys.readouterr().err
+        assert main(["store", "fsck", str(directory)]) == 0
+        assert main(["store", "save", str(directory), "--input", str(path),
+                     "--series", "s", "--codec", "raw",
+                     "--segment-size", "16"]) == 0
+        assert main(["store", "load", str(directory)]) == 0
+        assert "1 series" in capsys.readouterr().out
+
+    def test_fsck_malformed_manifest_errors_cleanly(self, plain_csv, tmp_path,
+                                                    capsys):
+        import json
+
+        from repro.storage.durable import attach_footer, split_footer
+
+        path, _values = plain_csv
+        directory = tmp_path / "db"
+        main(["store", "save", str(directory), "--input", str(path),
+              "--series", "t", "--codec", "raw"])
+        manifest = directory / "manifest.json"
+        payload, _reason, _detail = split_footer(manifest.read_bytes())
+        document = json.loads(payload)
+        document["series"]["t"]["segment_size"] = "big"
+        manifest.write_bytes(attach_footer(json.dumps(document).encode()))
+        capsys.readouterr()
+        assert main(["store", "fsck", str(directory)]) == 2
+        err = capsys.readouterr().err
+        assert "series 't' has a malformed manifest entry" in err
+        assert "Traceback" not in err
+
 
 class TestServe:
     """The `repro serve` matrix: parse, boot, drain, and failure exits."""
